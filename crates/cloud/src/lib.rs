@@ -130,7 +130,9 @@ pub use builder::CloudServiceBuilder;
 pub use cache::{DedupLayer, ResultCache};
 pub use checkpoint::{Checkpoint, CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 pub use hash::ContentAddress;
-pub use metrics::{BackendHealth, BackendStats, ServiceMetrics, ServiceStats, SessionStats};
+pub use metrics::{
+    BackendHealth, BackendStats, Counter, ServiceMetrics, ServiceStats, SessionStats,
+};
 pub use middleware::{
     AdmissionLayer, ApiKeyLayer, CloudLayer, DecodeLayer, JobContext, JobService, MetricsLayer,
     ObserverLayer, PanicLayer, ServiceBuilder, SessionKey, TimedLayer, ValidateLayer,

@@ -4,7 +4,7 @@ use crate::builder::CloudServiceBuilder;
 use crate::cache::{DedupReply, DedupShared, SubmitDecision};
 use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::hash::ContentAddress;
-use crate::metrics::{ServiceMetrics, ServiceStats};
+use crate::metrics::{Counter, ServiceMetrics, ServiceStats};
 use crate::middleware::{duration_us, JobContext, JobService, SessionKey, TimedLayer};
 use crate::observer::{CloudObserver, NullObserver};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate, TaskPayload};
@@ -82,10 +82,10 @@ impl ReplySink {
             ReplySink::Handle { progress, .. } => {
                 metrics.progress_frame_emitted(session);
                 if progress.send(update).is_ok() {
-                    metrics.progress_frame_delivered();
+                    metrics.add(Counter::ProgressFramesDelivered, 1);
                     true
                 } else {
-                    metrics.progress_frame_dropped();
+                    metrics.add(Counter::ProgressFramesDropped, 1);
                     false
                 }
             }
@@ -98,7 +98,7 @@ impl ReplySink {
                 } else {
                     // The connection's channel is gone; the pump will never
                     // see this frame, so account the drop at the send site.
-                    metrics.progress_frame_dropped();
+                    metrics.add(Counter::ProgressFramesDropped, 1);
                     false
                 }
             }
@@ -400,8 +400,7 @@ impl CloudService {
             let _ = handle.join();
         }
         for envelope in self.queue.drain() {
-            self.metrics.job_dequeued();
-            self.metrics.session_dispatched(&envelope.session);
+            self.metrics.job_dispatched(&envelope.session);
             envelope.reply.send(Err(CloudError::ServiceUnavailable));
         }
     }
@@ -421,8 +420,7 @@ fn worker_loop(
 ) {
     let record_spans = metrics.telemetry().enabled();
     while let Some(envelope) = queue.pop() {
-        metrics.job_dequeued();
-        metrics.session_dispatched(&envelope.session);
+        metrics.job_dispatched(&envelope.session);
         let mut ctx = JobContext::new(envelope.id, envelope.queue_depth_at_submit);
         ctx.api_key = envelope.auth;
         ctx.session = envelope.session;
@@ -600,9 +598,9 @@ impl CloudClient {
         } else if self.checkpointing {
             content_address = Some(ContentAddress::of(&payload));
         }
-        let queue_depth_at_submit = self.metrics.job_queued();
-        self.metrics
-            .session_submitted(&self.session, self.queue.weight_for_session(&self.session));
+        let queue_depth_at_submit = self
+            .metrics
+            .job_queued(&self.session, self.queue.weight_for_session(&self.session));
         let envelope = Envelope {
             id,
             queue_depth_at_submit,
@@ -619,8 +617,7 @@ impl CloudClient {
             // The rejected envelope is dropped here; if it was a dedup
             // executor, the drop resolves any waiters that attached in
             // the meantime with `ServiceUnavailable` and clears the slot.
-            self.metrics.job_unqueued();
-            self.metrics.session_unqueued(&self.session);
+            self.metrics.job_unqueued(&self.session);
             return Err(CloudError::ServiceUnavailable);
         }
         Ok((id, cancel))
@@ -816,7 +813,7 @@ fn try_resume(
     let (cp, rejected) = crate::checkpoint::load_for_resume(&*ck.store, addr, total_epochs as u64);
     if rejected {
         if let Some(m) = &ctx.metrics {
-            m.checkpoint_rejected();
+            m.add(Counter::CheckpointsRejected, 1);
         }
     }
     let Some(cp) = cp else { return 0 };
@@ -827,7 +824,7 @@ fn try_resume(
             // format bump, say): same policy as corruption.
             ck.store.remove(addr);
             if let Some(m) = &ctx.metrics {
-                m.checkpoint_rejected();
+                m.add(Counter::CheckpointsRejected, 1);
             }
             return 0;
         }
@@ -835,7 +832,7 @@ fn try_resume(
     opt.set_velocity(cp.velocity);
     *history = cp.history;
     if let Some(m) = &ctx.metrics {
-        m.job_resumed();
+        m.add(Counter::JobsResumed, 1);
         m.telemetry().record(Stage::CheckpointRestore, t0.elapsed());
     }
     cp.epoch as usize
@@ -858,7 +855,7 @@ fn finish_epoch(
     history: &History,
 ) -> bool {
     if let Some(m) = &ctx.metrics {
-        m.epoch_trained();
+        m.add(Counter::EpochsTrained, 1);
     }
     let listening = ctx.emit_progress(ProgressUpdate {
         epoch: completed as u64,
@@ -881,7 +878,7 @@ fn finish_epoch(
     };
     ck.store.store(addr, cp.to_bytes());
     if let Some(m) = &ctx.metrics {
-        m.checkpoint_written();
+        m.add(Counter::CheckpointsWritten, 1);
         m.telemetry().record(Stage::CheckpointWrite, t0.elapsed());
     }
     listening

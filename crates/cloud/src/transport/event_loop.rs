@@ -48,7 +48,7 @@ use super::frame::{self, Frame, FrameDecoder};
 use super::server::ServerShared;
 use super::timer::{Fired, TimerKind, TimerWheel};
 use super::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{Counter, ServiceMetrics};
 use crate::middleware::SessionKey;
 use crate::protocol::JobResult;
 use crate::service::{CancelFlag, CloudClient, RoutedMsg, RoutedSender};
@@ -99,14 +99,14 @@ impl ReactorShared {
     pub(super) fn enqueue_conn(&self, stream: TcpStream, metrics: &ServiceMetrics) {
         self.inbox.lock().push(stream);
         if self.waker.wake() {
-            metrics.reactor_wakeup();
+            metrics.add(Counter::ReactorWakeups, 1);
         }
     }
 
     /// Wakes the reactor with nothing attached (shutdown kick).
     pub(super) fn kick(&self, metrics: &ServiceMetrics) {
         if self.waker.wake() {
-            metrics.reactor_wakeup();
+            metrics.add(Counter::ReactorWakeups, 1);
         }
     }
 
@@ -119,7 +119,7 @@ impl ReactorShared {
         }
         drop(ready);
         if self.waker.wake() {
-            metrics.reactor_wakeup();
+            metrics.add(Counter::ReactorWakeups, 1);
         }
     }
 }
@@ -136,12 +136,12 @@ pub(super) fn spawn_reactor(
     poller
         .register(wake_rx.fd(), WAKER_TOKEN, Interest::READABLE)
         .expect("register reactor waker");
-    shared.metrics.reactor_fd_registered();
+    shared.metrics.add(Counter::ReactorRegisteredFds, 1);
     if let Some(listener) = &exporter {
         poller
             .register(listener.as_raw_fd(), EXPORTER_TOKEN, Interest::READABLE)
             .expect("register metrics exporter listener");
-        shared.metrics.reactor_fd_registered();
+        shared.metrics.add(Counter::ReactorRegisteredFds, 1);
     }
     std::thread::Builder::new()
         .name(format!("cloud-reactor-{index}"))
@@ -231,7 +231,7 @@ struct Conn {
     in_flight: usize,
     /// Still counted in [`ServerShared`]'s submitter gauge.
     counts_submitter: bool,
-    /// `conn_opened` was recorded (so `conn_closed` is owed).
+    /// `conn_opened` was recorded (so the active gauge is owed a decrement).
     counts_session_open: bool,
     /// A write failed or stalled out: never write again (the byte stream
     /// may sit mid-frame), just drain accounting.
@@ -282,7 +282,7 @@ impl WriteQueue {
 
     fn push(&mut self, buf: Bytes, end_of_frame: Option<(usize, bool)>, metrics: &ServiceMetrics) {
         self.bytes += buf.len();
-        metrics.write_queue_grew(buf.len());
+        metrics.add(Counter::ReactorWriteQueueBytes, buf.len() as u64);
         // The frame counters move at *commit* time, not flush time: once a
         // frame is queued its delivery is ordered before any observer can
         // see the peer react to it, so a client that received a reply is
@@ -389,7 +389,7 @@ impl WriteQueue {
                 Ok(0) => return (replies, FlushOutcome::Broken),
                 Ok(mut n) => {
                     self.bytes -= n;
-                    metrics.write_queue_shrank(n);
+                    metrics.sub(Counter::ReactorWriteQueueBytes, n as u64);
                     while n > 0 {
                         let front = self.q.front_mut().expect("wrote beyond queued bytes");
                         let take = n.min(front.buf.len() - front.pos);
@@ -416,18 +416,19 @@ impl WriteQueue {
 
     /// Drops everything (broken sink), returning how many queued reply
     /// frames were discarded so their in-flight slots free up. Frames that
-    /// never fully flushed are uncounted from the sent totals.
+    /// never fully flushed are uncounted from the sent totals and, for
+    /// control frames, the control sub-count.
     fn discard(&mut self, metrics: &ServiceMetrics) -> usize {
         let mut replies = 0;
         for p in self.q.drain(..) {
             if let Some((wire, is_reply)) = p.end_of_frame {
-                metrics.frame_send_aborted(wire);
+                metrics.frame_send_aborted(wire, !is_reply);
                 if is_reply {
                     replies += 1;
                 }
             }
         }
-        metrics.write_queue_shrank(self.bytes);
+        metrics.sub(Counter::ReactorWriteQueueBytes, self.bytes as u64);
         self.bytes = 0;
         replies
     }
@@ -479,7 +480,9 @@ impl Reactor {
                 // wake-ups and timers.
                 std::thread::sleep(Duration::from_millis(1));
             }
-            self.shared.metrics.reactor_events(events.len());
+            self.shared
+                .metrics
+                .add(Counter::ReactorEvents, events.len() as u64);
             // Read stop *after* wait: the shutdown kick interrupts the wait,
             // and this ordering guarantees the same iteration that drains
             // the kick also observes the flag and applies it.
@@ -515,7 +518,7 @@ impl Reactor {
                 self.poller
                     .deregister(self.wake_rx.fd())
                     .expect("deregister reactor waker");
-                self.shared.metrics.reactor_fd_deregistered();
+                self.shared.metrics.sub(Counter::ReactorRegisteredFds, 1);
                 return;
             }
         }
@@ -549,7 +552,7 @@ impl Reactor {
                 self.shared.release_conn(false);
                 continue;
             }
-            self.shared.metrics.reactor_fd_registered();
+            self.shared.metrics.add(Counter::ReactorRegisteredFds, 1);
             let (tx, rx) = unbounded();
             let notify = {
                 let handle = Arc::clone(&self.handle);
@@ -654,7 +657,7 @@ impl Reactor {
                         let _ = stream.shutdown(Shutdown::Both);
                         continue;
                     }
-                    self.shared.metrics.reactor_fd_registered();
+                    self.shared.metrics.add(Counter::ReactorRegisteredFds, 1);
                     self.http_conns.insert(
                         token,
                         HttpConn {
@@ -756,7 +759,7 @@ impl Reactor {
         }
         if dead {
             if self.poller.deregister(http.stream.as_raw_fd()).is_ok() {
-                self.shared.metrics.reactor_fd_deregistered();
+                self.shared.metrics.sub(Counter::ReactorRegisteredFds, 1);
             }
             let _ = http.stream.shutdown(Shutdown::Both);
             self.http_conns.remove(&token);
@@ -774,12 +777,12 @@ impl Reactor {
         // either way once the server is gone).
         if let Some(listener) = self.exporter.take() {
             if self.poller.deregister(listener.as_raw_fd()).is_ok() {
-                self.shared.metrics.reactor_fd_deregistered();
+                self.shared.metrics.sub(Counter::ReactorRegisteredFds, 1);
             }
         }
         for (_, http) in self.http_conns.drain() {
             if self.poller.deregister(http.stream.as_raw_fd()).is_ok() {
-                self.shared.metrics.reactor_fd_deregistered();
+                self.shared.metrics.sub(Counter::ReactorRegisteredFds, 1);
             }
             let _ = http.stream.shutdown(Shutdown::Both);
         }
@@ -885,7 +888,7 @@ fn on_readable(
                 // handshake that counts as a rejected connection.
                 if conn.state == ConnState::Handshaking {
                     if conn.decoder.buffered() > 0 {
-                        shared.metrics.conn_rejected();
+                        shared.metrics.add(Counter::ConnectionsRejected, 1);
                     }
                     close_conn(conn, shared, poller);
                 } else {
@@ -907,7 +910,7 @@ fn on_readable(
             Err(e) if e.kind() == ErrorKind::WouldBlock => return,
             Err(_) => {
                 if conn.state == ConnState::Handshaking {
-                    shared.metrics.conn_rejected();
+                    shared.metrics.add(Counter::ConnectionsRejected, 1);
                     close_conn(conn, shared, poller);
                 } else {
                     // A read error (reset, broken pipe): same as EOF — the
@@ -951,7 +954,7 @@ fn drain_frames(
             // the session but still flushes owed replies.
             Err(_) => {
                 if conn.state == ConnState::Handshaking {
-                    shared.metrics.conn_rejected();
+                    shared.metrics.add(Counter::ConnectionsRejected, 1);
                     close_conn(conn, shared, poller);
                 } else {
                     enter_draining(conn, shared, poller, wheel);
@@ -981,7 +984,7 @@ fn handle_frame(
         ) => {
             let version = PROTOCOL_VERSION.min(max_version);
             if version < MIN_PROTOCOL_VERSION.max(min_version) {
-                shared.metrics.conn_rejected();
+                shared.metrics.add(Counter::ConnectionsRejected, 1);
                 conn.writes.push_frame(
                     &Frame::Reject {
                         reason: format!(
@@ -1026,7 +1029,7 @@ fn handle_frame(
             flush_writes(conn, shared, poller, wheel);
         }
         (ConnState::Handshaking, _) => {
-            shared.metrics.conn_rejected();
+            shared.metrics.add(Counter::ConnectionsRejected, 1);
             conn.writes.push_frame(
                 &Frame::Reject {
                     reason: "expected Hello".into(),
@@ -1207,9 +1210,9 @@ fn queue_progress(
             false,
             &shared.metrics,
         );
-        shared.metrics.progress_frame_delivered();
+        shared.metrics.add(Counter::ProgressFramesDelivered, 1);
     } else {
-        shared.metrics.progress_frame_dropped();
+        shared.metrics.add(Counter::ProgressFramesDropped, 1);
     }
 }
 
@@ -1327,7 +1330,7 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
     conn.state = ConnState::Closed;
     conn.peer_alive.store(false, Ordering::SeqCst);
     if poller.deregister(conn.stream.as_raw_fd()).is_ok() {
-        shared.metrics.reactor_fd_deregistered();
+        shared.metrics.sub(Counter::ReactorRegisteredFds, 1);
     }
     let _ = conn.stream.shutdown(Shutdown::Both);
     let discarded = conn.writes.discard(&shared.metrics);
@@ -1339,7 +1342,7 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
     while let Ok((_, msg)) = conn.replies_rx.try_recv() {
         match msg {
             RoutedMsg::Reply(_) => conn.in_flight = conn.in_flight.saturating_sub(1),
-            RoutedMsg::Progress(_) => shared.metrics.progress_frame_dropped(),
+            RoutedMsg::Progress(_) => shared.metrics.add(Counter::ProgressFramesDropped, 1),
         }
     }
     conn.traces.clear();
@@ -1524,7 +1527,11 @@ mod tests {
         assert!(metrics.snapshot().reactor_write_queue_bytes > 0);
         let replies = q.discard(&metrics);
         assert_eq!(replies, 2);
-        assert_eq!(metrics.snapshot().reactor_write_queue_bytes, 0);
+        let stats = metrics.snapshot();
+        assert_eq!(stats.reactor_write_queue_bytes, 0);
+        // The aborted Pong unwinds its control sub-count with the totals.
+        assert!(stats.control_frames_sent <= stats.frames_sent, "{stats}");
+        assert_eq!((stats.frames_sent, stats.control_frames_sent), (0, 0));
         assert!(q.is_empty());
     }
 }

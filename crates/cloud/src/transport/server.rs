@@ -25,7 +25,7 @@
 use super::event_loop::{make_reactor_parts, spawn_reactor, ReactorShared};
 use super::frame::{write_frame, Frame};
 use super::TransportConfig;
-use crate::metrics::{ServiceMetrics, ServiceStats};
+use crate::metrics::{Counter, ServiceMetrics, ServiceStats};
 use crate::service::{CloudClient, CloudService};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -86,10 +86,11 @@ impl ServerShared {
     }
 
     /// Releases a connection's session slot; `session_open` says whether
-    /// its handshake succeeded (so a `conn_closed` is owed).
+    /// its handshake succeeded (so the active-connections gauge is owed a
+    /// decrement).
     pub(super) fn release_conn(&self, session_open: bool) {
         if session_open {
-            self.metrics.conn_closed();
+            self.metrics.sub(Counter::ConnectionsActive, 1);
         }
         self.sessions.fetch_sub(1, Ordering::SeqCst);
     }
@@ -262,7 +263,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if shared.sessions.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    shared.metrics.conn_rejected();
+                    shared.metrics.add(Counter::ConnectionsRejected, 1);
                     reject(stream, "server at connection capacity");
                     continue;
                 }

@@ -38,7 +38,7 @@ use amalgam_cloud::transport::{
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use amalgam_cloud::{
-    CloudError, JobTrace, ServiceMetrics, ServiceStats, SpanRecord, Stage, TraceId,
+    CloudError, Counter, JobTrace, ServiceMetrics, ServiceStats, SpanRecord, Stage, TraceId,
 };
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -282,7 +282,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ProxyShared>) {
                 if shared.active_sessions.load(Ordering::SeqCst)
                     >= shared.config.transport.max_connections
                 {
-                    shared.metrics.conn_rejected();
+                    shared.metrics.add(Counter::ConnectionsRejected, 1);
                     reject(stream, "proxy at connection capacity");
                     continue;
                 }
@@ -535,7 +535,7 @@ impl Session {
         }
         self.shared.metrics.backend_failover(&addr);
         if self.reroute(Some(&addr)) {
-            self.shared.metrics.reconnect_established();
+            self.shared.metrics.add(Counter::Reconnects, 1);
         }
     }
 
@@ -835,7 +835,7 @@ fn run_session(shared: &Arc<ProxyShared>, mut client: TcpStream) {
             frame
         }
         _ => {
-            shared.metrics.conn_rejected();
+            shared.metrics.add(Counter::ConnectionsRejected, 1);
             let _ = client.shutdown(Shutdown::Both);
             return;
         }
@@ -850,7 +850,7 @@ fn run_session(shared: &Arc<ProxyShared>, mut client: TcpStream) {
     };
     let version = PROTOCOL_VERSION.min(max_version);
     if version < MIN_PROTOCOL_VERSION.max(min_version) {
-        shared.metrics.conn_rejected();
+        shared.metrics.add(Counter::ConnectionsRejected, 1);
         reject(
             client,
             &format!(
@@ -873,7 +873,7 @@ fn run_session(shared: &Arc<ProxyShared>, mut client: TcpStream) {
         client_writer: Mutex::new(match client.try_clone() {
             Ok(w) => w,
             Err(_) => {
-                shared.metrics.conn_rejected();
+                shared.metrics.add(Counter::ConnectionsRejected, 1);
                 let _ = client.shutdown(Shutdown::Both);
                 return;
             }
@@ -891,7 +891,7 @@ fn run_session(shared: &Arc<ProxyShared>, mut client: TcpStream) {
     // outright, so the client's connect() fails loudly instead of its first
     // submit failing quietly.
     if !sess.reroute(None) {
-        shared.metrics.conn_rejected();
+        shared.metrics.add(Counter::ConnectionsRejected, 1);
         reject(client, "no healthy backend");
         return;
     }
@@ -1015,5 +1015,5 @@ fn run_session(shared: &Arc<ProxyShared>, mut client: TcpStream) {
     if let Some(link) = sess.backend.lock().take() {
         let _ = link.writer.lock().shutdown(Shutdown::Both);
     }
-    shared.metrics.conn_closed();
+    shared.metrics.sub(Counter::ConnectionsActive, 1);
 }

@@ -127,6 +127,14 @@ fn one_trace_id_spans_client_proxy_and_backend() {
         .collect();
     assert_eq!(traces.len(), 2);
     assert_ne!(traces[0], traces[1], "each submit mints a fresh trace id");
+    // The counters' accounting laws hold at both tiers once traffic stops.
+    for stats in [server.stats(), proxy.stats()] {
+        assert_eq!(
+            stats.conservation_violations(),
+            Vec::<String>::new(),
+            "{stats}"
+        );
+    }
 
     drop(client);
     proxy.shutdown();
@@ -187,6 +195,14 @@ fn get_stats_frame_returns_quantiles_at_both_tiers() {
         shown.contains("rpc rtt"),
         "ClientStats table shows RTT:\n{shown}"
     );
+    // The counters' accounting laws hold at both tiers once traffic stops.
+    for stats in [server.stats(), proxy.stats()] {
+        assert_eq!(
+            stats.conservation_violations(),
+            Vec::<String>::new(),
+            "{stats}"
+        );
+    }
 
     drop(via_proxy);
     drop(direct);
@@ -251,6 +267,12 @@ fn prometheus_exporter_serves_stage_quantiles() {
     let mut again = String::new();
     sock.read_to_string(&mut again).expect("read second scrape");
     assert!(again.starts_with("HTTP/1.0 200 OK"));
+    let stats = server.stats();
+    assert_eq!(
+        stats.conservation_violations(),
+        Vec::<String>::new(),
+        "{stats}"
+    );
 
     drop(client);
     server.shutdown();
