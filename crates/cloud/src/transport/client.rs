@@ -342,55 +342,82 @@ impl Drop for ClientShared {
 fn dial(
     addrs: &[SocketAddr],
     config: &TransportConfig,
-) -> Result<(TcpStream, u32, u32, u64), CloudError> {
+) -> Result<(TcpStream, Welcome), CloudError> {
     let mut last_err = CloudError::Transport("no address to connect to".into());
     for addr in addrs {
         match TcpStream::connect_timeout(addr, config.connect_timeout) {
-            Ok(stream) => return handshake(stream, config),
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(Some(config.handshake_timeout));
+                // A peer that stops reading must not wedge submit/keepalive/
+                // close behind the writer lock forever; a timed-out write
+                // marks the connection broken (symmetric with the server's
+                // session policy).
+                let _ = stream.set_write_timeout(Some(config.write_timeout));
+                let welcome = handshake(&stream, config.api_key.clone(), config.max_frame_len)?;
+                let _ = stream.set_read_timeout(None);
+                return Ok((stream, welcome));
+            }
             Err(e) => last_err = CloudError::Transport(format!("connect to {addr} failed: {e}")),
         }
     }
     Err(last_err)
 }
 
-/// Client half of the handshake: `Hello` out, `Welcome` (or `Reject`) in.
-fn handshake(
-    mut stream: TcpStream,
-    config: &TransportConfig,
-) -> Result<(TcpStream, u32, u32, u64), CloudError> {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.handshake_timeout));
-    // A peer that stops reading must not wedge submit/keepalive/close
-    // behind the writer lock forever; a timed-out write marks the
-    // connection broken (symmetric with the server's session policy).
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            min_version: MIN_PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
-            api_key: config.api_key.clone(),
-        },
-    )
-    .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
-    let (frame, _) =
-        read_frame_blocking(&mut stream, config.max_frame_len, FrameOrigin::Server)?
+/// What a server granted in its `Welcome` (see [`handshake`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Welcome {
+    /// The negotiated protocol version.
+    pub version: u32,
+    /// The server's per-connection in-flight cap.
+    pub max_in_flight: u32,
+    /// The server's frame-length cap.
+    pub max_frame_len: u64,
+    /// Wire bytes of the `Hello` sent and of the `Welcome` received.
+    pub wire: (usize, usize),
+}
+
+/// The client half of the handshake, on a connected blocking `stream`:
+/// `Hello` (offering every version this build speaks, and `api_key`) out,
+/// `Welcome` or `Reject` in. The caller sets the stream's timeouts; frames
+/// longer than `max_frame_len` are refused unread.
+///
+/// # Errors
+///
+/// [`CloudError::Transport`] on I/O failure, [`CloudError::Handshake`] on a
+/// `Reject`, an early close or any other frame.
+pub fn handshake(
+    stream: &TcpStream,
+    api_key: Option<String>,
+    max_frame_len: usize,
+) -> Result<Welcome, CloudError> {
+    let mut stream = stream;
+    let hello = Frame::Hello {
+        min_version: MIN_PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+        api_key,
+    };
+    let sent = write_frame(&mut stream, &hello)
+        .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
+    let (frame, received) =
+        read_frame_blocking(&mut stream, max_frame_len, FrameOrigin::Server)?
             .ok_or_else(|| CloudError::Handshake("server closed during handshake".into()))?;
-    let (version, max_in_flight, server_max_frame_len) = match frame {
+    match frame {
         Frame::Welcome {
             version,
             max_in_flight,
             max_frame_len,
-        } => (version, max_in_flight, max_frame_len),
-        Frame::Reject { reason } => return Err(CloudError::Handshake(reason)),
-        other => {
-            return Err(CloudError::Handshake(format!(
-                "expected Welcome, got {other:?}"
-            )))
-        }
-    };
-    let _ = stream.set_read_timeout(None);
-    Ok((stream, version, max_in_flight, server_max_frame_len))
+        } => Ok(Welcome {
+            version,
+            max_in_flight,
+            max_frame_len,
+            wire: (sent, received),
+        }),
+        Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
+        other => Err(CloudError::Handshake(format!(
+            "expected Welcome, got {other:?}"
+        ))),
+    }
 }
 
 impl RemoteCloudClient {
@@ -422,7 +449,7 @@ impl RemoteCloudClient {
         if addrs.is_empty() {
             return Err(CloudError::Transport("address resolved to nothing".into()));
         }
-        let (stream, version, max_in_flight, server_max_frame_len) = dial(&addrs, &config)?;
+        let (stream, welcome) = dial(&addrs, &config)?;
         let read_half = stream
             .try_clone()
             .map_err(|e| CloudError::Transport(format!("socket clone failed: {e}")))?;
@@ -434,7 +461,7 @@ impl RemoteCloudClient {
             writer: Mutex::new(stream),
             last_write: Mutex::new(Instant::now()),
             generation: 0,
-            max_frame_len: usize::try_from(server_max_frame_len).unwrap_or(usize::MAX),
+            max_frame_len: usize::try_from(welcome.max_frame_len).unwrap_or(usize::MAX),
         });
         let (supervisor, supervisor_rx) = match config.reconnect {
             Some(_) => {
@@ -455,8 +482,8 @@ impl RemoteCloudClient {
             telemetry: Telemetry::new(&TelemetryConfig::default()),
             next_request: AtomicU64::new(0),
             closed: AtomicBool::new(false),
-            version,
-            server_max_in_flight: max_in_flight as usize,
+            version: welcome.version,
+            server_max_in_flight: welcome.max_in_flight as usize,
             supervisor,
             reconnects: AtomicU64::new(0),
             jobs_resubmitted: AtomicU64::new(0),
@@ -878,11 +905,11 @@ fn handle_link_down(
             return;
         }
         attempts += 1;
-        let dialed = dial(&shared.addrs, &shared.config).and_then(|(stream, _, _, mfl)| {
+        let dialed = dial(&shared.addrs, &shared.config).and_then(|(stream, welcome)| {
             let read_half = stream
                 .try_clone()
                 .map_err(|e| CloudError::Transport(format!("socket clone failed: {e}")))?;
-            Ok((stream, read_half, mfl))
+            Ok((stream, read_half, welcome.max_frame_len))
         });
         match dialed {
             Ok((stream, read_half, server_max_frame_len)) => {

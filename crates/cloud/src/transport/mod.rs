@@ -100,7 +100,8 @@ mod reconnect;
 mod server;
 mod timer;
 
-pub use client::{RemoteCloudClient, RemoteJobHandle};
+pub use client::{handshake, RemoteCloudClient, RemoteJobHandle, Welcome};
+pub use event_loop::{ConnState, Engine, Handler, Io, Mailbox};
 pub use frame::{
     read_frame_blocking, write_encoded, write_frame, Frame, FrameDecoder, FrameOrigin,
 };

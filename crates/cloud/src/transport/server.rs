@@ -22,20 +22,19 @@
 //! submit. The connection state machine, write-queue backpressure and
 //! timer handling live in the sibling `event_loop` module.
 
-use super::event_loop::{make_reactor_parts, spawn_reactor, ReactorShared};
-use super::frame::{write_frame, Frame};
+use super::event_loop::{ConnState, Engine, Handler, Io, Mailbox};
+use super::frame::Frame;
 use super::TransportConfig;
 use crate::metrics::{Counter, ServiceMetrics, ServiceStats};
-use crate::service::{CloudClient, CloudService};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::middleware::SessionKey;
+use crate::service::{CancelFlag, CloudClient, CloudService, RoutedMsg, RoutedSender};
+use crate::telemetry::TraceId;
+use crate::CloudError;
+use crossbeam::channel::{unbounded, Receiver};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Write bound for pre-handshake refusals issued by the acceptor itself,
-/// where no session config has been negotiated yet (established sessions
-/// use [`TransportConfig::write_timeout`] via the reactor's stall timer).
-const REJECT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A [`CloudService`] behind a real TCP listener.
 ///
@@ -50,50 +49,11 @@ const REJECT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// ```
 #[derive(Debug)]
 pub struct CloudServer {
-    shared: Arc<ServerShared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    reactors: Vec<std::thread::JoinHandle<()>>,
+    engine: Engine<u64>,
+    metrics: Arc<ServiceMetrics>,
     service: Option<CloudService>,
     local_addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-}
-
-/// State shared by the acceptor, the reactors and the shutdown path.
-#[derive(Debug)]
-pub(super) struct ServerShared {
-    pub(super) stop: AtomicBool,
-    pub(super) config: TransportConfig,
-    pub(super) client: CloudClient,
-    pub(super) metrics: Arc<ServiceMetrics>,
-    /// Accepted API keys, for the `GetStats` authorization check (`None`
-    /// when the service takes anonymous sessions — then any established
-    /// session may ask).
-    pub(super) api_keys: Option<Arc<[String]>>,
-    /// One handle per reactor thread; connections are dealt round-robin.
-    pub(super) reactors: Vec<Arc<ReactorShared>>,
-    /// Connections that may still submit jobs (handshaking or established).
-    /// Shutdown waits for this to hit zero before draining the service, so
-    /// no submission can race past the drain and strand a request id.
-    submitters: AtomicUsize,
-    /// Connections counted against [`TransportConfig::max_connections`].
-    sessions: AtomicUsize,
-}
-
-impl ServerShared {
-    /// A connection left the states that can submit.
-    pub(super) fn submitters_dec(&self) {
-        self.submitters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Releases a connection's session slot; `session_open` says whether
-    /// its handshake succeeded (so the active-connections gauge is owed a
-    /// decrement).
-    pub(super) fn release_conn(&self, session_open: bool) {
-        if session_open {
-            self.metrics.sub(Counter::ConnectionsActive, 1);
-        }
-        self.sessions.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl CloudServer {
@@ -119,57 +79,39 @@ impl CloudServer {
         config: TransportConfig,
     ) -> std::io::Result<CloudServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         // The Prometheus exporter is served by reactor 0's poller — a second
         // nonblocking listener, not a second thread.
         let exporter = match service.metrics_exporter_addr() {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
         let metrics_addr = match &exporter {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
-        let io_threads = config.effective_io_threads();
-        let (handles, parts) = make_reactor_parts(io_threads)?;
-        let shared = Arc::new(ServerShared {
-            stop: AtomicBool::new(false),
+        let metrics = service.metrics_arc();
+        let (client, api_keys) = (service.client(), service.api_keys());
+        let limits = (config.max_in_flight, config.max_frame_len);
+        let engine = Engine::start(
+            "cloud",
+            listener,
             config,
-            client: service.client(),
-            metrics: service.metrics_arc(),
-            api_keys: service.api_keys(),
-            reactors: handles,
-            submitters: AtomicUsize::new(0),
-            sessions: AtomicUsize::new(0),
-        });
-        let mut reactors = Vec::with_capacity(io_threads);
-        let mut exporter = exporter;
-        for (i, (wake_rx, poller)) in parts.into_iter().enumerate() {
-            reactors.push(spawn_reactor(
-                i,
-                Arc::clone(&shared),
-                Arc::clone(&shared.reactors[i]),
-                wake_rx,
-                poller,
-                exporter.take(),
-            ));
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cloud-acceptor".into())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor")
-        };
+            Arc::clone(&metrics),
+            exporter,
+            |_, mailbox| Backend {
+                client: client.clone(),
+                api_keys: api_keys.clone(),
+                metrics: Arc::clone(&metrics),
+                max_in_flight: limits.0,
+                max_frame_len: limits.1,
+                mailbox: mailbox.clone(),
+                sessions: HashMap::new(),
+            },
+        )?;
         Ok(CloudServer {
-            shared,
-            acceptor: Some(acceptor),
-            reactors,
+            engine,
+            metrics,
             service: Some(service),
             local_addr,
             metrics_addr,
@@ -189,13 +131,13 @@ impl CloudServer {
 
     /// Point-in-time service + transport telemetry.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.metrics.snapshot()
+        self.metrics.snapshot()
     }
 
     /// The fronted service's telemetry plane: per-stage histograms and the
     /// flight recorder holding the backend tier's view of each trace.
     pub fn telemetry(&self) -> &crate::telemetry::Telemetry {
-        self.shared.metrics.telemetry()
+        self.metrics.telemetry()
     }
 
     /// An in-process client of the same service the listener fronts —
@@ -209,7 +151,7 @@ impl CloudServer {
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
-        self.shared.sessions.load(Ordering::SeqCst)
+        self.engine.session_count()
     }
 
     /// Graceful shutdown: stop accepting, stop reading, drain every job
@@ -223,28 +165,15 @@ impl CloudServer {
         let Some(service) = self.service.take() else {
             return;
         };
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // No new connections; wake every reactor so it observes the stop
-        // flag, kills handshakes and moves established sessions to
-        // Draining — after which the submitter gauge can only fall.
-        for reactor in &self.shared.reactors {
-            reactor.kick(&self.shared.metrics);
-        }
-        while self.shared.submitters.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // All submissions have happened; the service drain below therefore
-        // answers every routed reply — completed jobs with results, jobs it
-        // never reached with ServiceUnavailable. Each answer wakes its
-        // owning reactor, which flushes it and closes the connection once
-        // nothing is owed; reactors exit when their last connection closes.
+        // Once the engine has stopped, no connection can submit any more;
+        // the service drain below therefore answers every routed reply —
+        // completed jobs with results, jobs it never reached with
+        // ServiceUnavailable. Each answer wakes its owning reactor, which
+        // flushes it and closes the connection once nothing is owed;
+        // reactors exit when their last connection closes.
+        self.engine.stop();
         service.shutdown();
-        for reactor in self.reactors.drain(..) {
-            let _ = reactor.join();
-        }
+        self.engine.join();
     }
 }
 
@@ -254,44 +183,199 @@ impl Drop for CloudServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    let mut next_reactor = 0usize;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.sessions.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    shared.metrics.add(Counter::ConnectionsRejected, 1);
-                    reject(stream, "server at connection capacity");
-                    continue;
-                }
-                shared.sessions.fetch_add(1, Ordering::SeqCst);
-                shared.submitters.fetch_add(1, Ordering::SeqCst);
-                shared.reactors[next_reactor % shared.reactors.len()]
-                    .enqueue_conn(stream, &shared.metrics);
-                next_reactor = next_reactor.wrapping_add(1);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5))
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+/// The backend's [`Handler`]: every established connection is one service
+/// session. Its mailbox carries the tokens of connections whose reply
+/// channel has completions waiting.
+struct Backend {
+    client: CloudClient,
+    /// Accepted API keys, for the `GetStats` authorization check (`None`
+    /// when the service takes anonymous sessions — then any established
+    /// session may ask).
+    api_keys: Option<Arc<[String]>>,
+    metrics: Arc<ServiceMetrics>,
+    max_in_flight: usize,
+    max_frame_len: usize,
+    mailbox: Mailbox<u64>,
+    sessions: HashMap<u64, Session>,
+}
+
+/// One established connection's service session.
+struct Session {
+    /// Scheduling/rate-limiting identity for everything the connection
+    /// submits: the handshake's key, or a fresh anonymous session.
+    client: CloudClient,
+    replies: Receiver<(u64, RoutedMsg)>,
+    routed: RoutedSender,
+    /// Shared with every [`RoutedSender`] clone handed to workers; cleared
+    /// when the peer is gone for good. Trainers probe it through progress
+    /// emission: once it clears, an in-flight job knows nobody can receive
+    /// its result and cancels itself at the next epoch boundary, keeping
+    /// its checkpoint for a resumed resubmission.
+    peer_alive: Arc<AtomicBool>,
+    /// Trace id of each accepted submit, echoed onto its Reply frame.
+    traces: HashMap<u64, TraceId>,
+    /// Cancellation flag of each accepted submit still executing; a Cancel
+    /// frame for the request id flips it, the reply retires it.
+    cancels: HashMap<u64, CancelFlag>,
+}
+
+impl Session {
+    /// Queues one reply, retiring the request's trace and cancel flag.
+    fn reply(
+        &mut self,
+        io: &mut Io,
+        conn: u64,
+        id: u64,
+        result: Result<crate::JobResult, CloudError>,
+    ) {
+        let trace = self.traces.remove(&id).unwrap_or(TraceId::NONE);
+        self.cancels.remove(&id);
+        io.reply(conn, id, result, trace);
     }
 }
 
-/// Best-effort capacity refusal, written synchronously from the acceptor
-/// (the connection never reaches a reactor).
-fn reject(mut stream: TcpStream, reason: &str) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
-    let _ = write_frame(
-        &mut stream,
-        &Frame::Reject {
-            reason: reason.into(),
-        },
-    );
+impl Handler for Backend {
+    type Msg = u64;
+
+    fn on_hello(&mut self, io: &mut Io, conn: u64, _version: u32, api_key: Option<String>) {
+        let (tx, replies) = unbounded();
+        let mailbox = self.mailbox.clone();
+        let notify = Arc::new(move || mailbox.post(conn)) as Arc<dyn Fn() + Send + Sync>;
+        let peer_alive = Arc::new(AtomicBool::new(true));
+        let auth: Option<Arc<str>> = api_key.map(|k| Arc::from(k.into_boxed_str()));
+        let session = Session {
+            client: self.client.for_transport_session(auth),
+            replies,
+            routed: RoutedSender::new(tx, notify, Arc::clone(&peer_alive)),
+            peer_alive,
+            traces: HashMap::new(),
+            cancels: HashMap::new(),
+        };
+        self.sessions.insert(conn, session);
+        io.welcome(conn, self.max_in_flight as u32, self.max_frame_len as u64);
+    }
+
+    fn on_frame(&mut self, io: &mut Io, conn: u64, frame: Frame) {
+        let Some(session) = self.sessions.get_mut(&conn) else {
+            return;
+        };
+        match frame {
+            Frame::Submit {
+                request_id,
+                payload,
+                trace,
+            } => {
+                let trace = trace.unwrap_or(TraceId::NONE);
+                // The cap judges accepted-but-unflushed replies too: submits
+                // are shed while earlier replies sit in the write queue.
+                let owed = io.owe(conn);
+                if owed >= self.max_in_flight {
+                    self.metrics.session_shed(session.client.session_key());
+                    let shed = CloudError::Overloaded {
+                        queue_depth: owed,
+                        max_queue_depth: self.max_in_flight,
+                    };
+                    session.reply(io, conn, request_id, Err(shed));
+                    return;
+                }
+                // Remember the trace for the Reply (including dedup-served
+                // replies, which also arrive through the routed channel).
+                if !trace.is_none() {
+                    session.traces.insert(request_id, trace);
+                }
+                let routed = session.routed.clone();
+                match session
+                    .client
+                    .submit_routed(payload, request_id, routed, trace)
+                {
+                    Ok(cancel) => {
+                        session.cancels.insert(request_id, cancel);
+                    }
+                    Err(e) => session.reply(io, conn, request_id, Err(e)),
+                }
+            }
+            Frame::GetStats { request_id } => {
+                // Authorization: with API keys configured only a session
+                // keyed by one of them may scrape; otherwise any established
+                // session is as trusted as the service gets. The refusal is
+                // in-band so callers see *why* instead of a dead connection.
+                let authorized = match (&self.api_keys, session.client.session_key()) {
+                    (None, _) => true,
+                    (Some(keys), SessionKey::ApiKey(k)) => keys.iter().any(|key| **key == **k),
+                    (Some(_), SessionKey::Anonymous(_)) => false,
+                };
+                let body = if authorized {
+                    Ok(self.metrics.snapshot().to_bytes())
+                } else {
+                    Err(CloudError::Unauthorized(
+                        "stats require a recognized API key".into(),
+                    ))
+                };
+                io.send(conn, &Frame::Stats { request_id, body });
+            }
+            Frame::Cancel { request_id } => {
+                // Best-effort: flip the job's flag if it is still in flight.
+                // An id with no flag means the reply already settled (or the
+                // submit never landed) — a benign race, not a protocol
+                // offense. The reply still arrives; cancellation surfaces as
+                // its payload.
+                if let Some(flag) = session.cancels.get(&request_id) {
+                    flag.store(true, Ordering::Relaxed);
+                }
+            }
+            // Goodbye, or a protocol violation (a second Hello, a
+            // server-side frame): stop reading, settle what is owed, close.
+            _ => io.drain(conn),
+        }
+    }
+
+    /// Moves completions from the connection's reply channel onto the wire.
+    fn on_message(&mut self, io: &mut Io, conn: u64) {
+        let Some(session) = self.sessions.get_mut(&conn) else {
+            return;
+        };
+        while let Ok((request_id, msg)) = session.replies.try_recv() {
+            match msg {
+                RoutedMsg::Reply(result) => session.reply(io, conn, request_id, result),
+                // Progress is advisory: it holds no owed slot, so a v1 peer,
+                // a broken sink or a draining connection just drops it.
+                RoutedMsg::Progress(update) => {
+                    let delivered = io.version(conn) >= 2
+                        && io.state(conn) == Some(ConnState::Established)
+                        && io.send(conn, &Frame::Progress { request_id, update });
+                    self.metrics.add(
+                        if delivered {
+                            Counter::ProgressFramesDelivered
+                        } else {
+                            Counter::ProgressFramesDropped
+                        },
+                        1,
+                    );
+                }
+            }
+        }
+    }
+
+    fn on_peer_lost(&mut self, _io: &mut Io, conn: u64) {
+        if let Some(session) = self.sessions.get(&conn) {
+            session.peer_alive.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Progress the workers posted that will never reach the wire counts as
+    /// dropped. (Sends that race past this fail once the channel's receiver
+    /// is gone and are counted dropped at the send site.)
+    fn on_close(&mut self, _io: &mut Io, conn: u64) {
+        let Some(session) = self.sessions.remove(&conn) else {
+            return;
+        };
+        session.peer_alive.store(false, Ordering::SeqCst);
+        while let Ok((_, msg)) = session.replies.try_recv() {
+            if let RoutedMsg::Progress(_) = msg {
+                self.metrics.add(Counter::ProgressFramesDropped, 1);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

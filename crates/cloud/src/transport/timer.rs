@@ -1,9 +1,10 @@
 //! Hashed timer wheel for connection deadlines.
 //!
-//! The reactor arms two kinds of per-connection deadline — [`TimerKind::Idle`]
-//! (handshake timeout before the session is established, keep-alive idle
-//! timeout after) and [`TimerKind::WriteStall`] (no forward progress flushing
-//! the write queue). Instead of one thread-per-connection `read_timeout`
+//! The reactor arms three kinds of per-connection deadline —
+//! [`TimerKind::Idle`] (handshake timeout before the session is established,
+//! idle timeout after, keep-alive ping on a dialed link),
+//! [`TimerKind::WriteStall`] (no forward progress flushing the write queue)
+//! and [`TimerKind::Handler`] (the handler's own policy). Instead of one thread-per-connection `read_timeout`
 //! tick, all deadlines live in one wheel per reactor thread; the wheel's
 //! [`TimerWheel::next_deadline`] bounds the `epoll_wait` timeout, so an idle
 //! reactor sleeps until the earliest deadline and a busy one never pays more
@@ -19,12 +20,15 @@ use std::time::{Duration, Instant};
 /// What a deadline means to the connection that armed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum TimerKind {
-    /// Handshake deadline (pre-session) or keep-alive idle timeout
-    /// (post-handshake): no bytes arrived from the peer for too long.
+    /// Handshake deadline (pre-session) or idle timeout (post-handshake):
+    /// no bytes arrived from the peer for too long. On a dialed link: the
+    /// keep-alive deadline, nothing written for too long.
     Idle,
     /// The write queue is non-empty and no bytes could be flushed for the
     /// configured `write_timeout` — the peer has stopped reading.
     WriteStall,
+    /// A deadline the connection's handler armed for its own policy.
+    Handler,
 }
 
 /// A deadline that fell due, returned by [`TimerWheel::advance`].

@@ -21,9 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use amalgam_cloud::transport::{
-    read_frame_blocking, write_frame, Frame, FrameOrigin, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+use amalgam_cloud::transport::{handshake, read_frame_blocking, write_frame, Frame, FrameOrigin};
 use amalgam_cloud::BackendHealth;
 
 use crate::breaker::Transition;
@@ -90,19 +88,10 @@ fn probe_once(shared: &Arc<ProxyShared>, addr: &str) -> bool {
     let _ = stream.set_read_timeout(Some(deadline));
     let _ = stream.set_write_timeout(Some(deadline));
     let max_frame_len = shared.config.transport.max_frame_len;
-    let mut s = &stream;
-    let hello = Frame::Hello {
-        min_version: MIN_PROTOCOL_VERSION,
-        max_version: PROTOCOL_VERSION,
-        api_key: None,
-    };
-    if write_frame(&mut s, &hello).is_err() {
+    if handshake(&stream, None, max_frame_len).is_err() {
         return false;
     }
-    match read_frame_blocking(&mut s, max_frame_len, FrameOrigin::Server) {
-        Ok(Some((Frame::Welcome { .. }, _))) => {}
-        _ => return false,
-    }
+    let mut s = &stream;
     if write_frame(&mut s, &Frame::Ping { nonce: PROBE_NONCE }).is_err() {
         return false;
     }

@@ -31,7 +31,10 @@
 //!   re-handshakes with a survivor and resubmits the retained jobs under
 //!   their original request ids. Jobs are seeded-deterministic and
 //!   content-addressed, so replays dedup server-side and results stay
-//!   bitwise identical.
+//!   bitwise identical. It is a handler on the same connection engine as
+//!   `CloudServer`: each session — client connection plus backend link —
+//!   is owned by one reactor thread, and the proxy runs acceptor + prober
+//!   + dialer + `io_threads` threads however many sessions it carries.
 //!
 //! The [`FaultInjector`] is the proof harness: a dependency-free TCP
 //! man-in-the-middle that can kill, hang, delay, black-hole or
