@@ -373,14 +373,45 @@ pub struct Welcome {
     pub max_in_flight: u32,
     /// The server's frame-length cap.
     pub max_frame_len: u64,
-    /// Wire bytes of the `Hello` sent and of the `Welcome` received.
-    pub wire: (usize, usize),
+}
+
+impl Welcome {
+    /// A server's answer to [`hello`]: its `Welcome`, or why it refused.
+    pub(crate) fn from_answer(frame: Frame) -> Result<Welcome, CloudError> {
+        match frame {
+            Frame::Welcome {
+                version,
+                max_in_flight,
+                max_frame_len,
+            } => Ok(Welcome {
+                version,
+                max_in_flight,
+                max_frame_len,
+            }),
+            Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
+            other => Err(CloudError::Handshake(format!(
+                "expected Welcome, got {other:?}"
+            ))),
+        }
+    }
+}
+
+/// The `Hello` every client session opens with: every protocol version
+/// this build speaks, and `api_key`.
+pub(crate) fn hello(api_key: Option<String>) -> Frame {
+    Frame::Hello {
+        min_version: MIN_PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+        api_key,
+    }
 }
 
 /// The client half of the handshake, on a connected blocking `stream`:
-/// `Hello` (offering every version this build speaks, and `api_key`) out,
-/// `Welcome` or `Reject` in. The caller sets the stream's timeouts; frames
-/// longer than `max_frame_len` are refused unread.
+/// `Hello` (every version this build speaks, and `api_key`) out, `Welcome`
+/// or `Reject` in. The caller sets the stream's timeouts; frames longer
+/// than `max_frame_len` are refused unread. The connection engine runs the
+/// same exchange without blocking on the links it dials
+/// ([`super::Io::connect`]).
 ///
 /// # Errors
 ///
@@ -392,32 +423,11 @@ pub fn handshake(
     max_frame_len: usize,
 ) -> Result<Welcome, CloudError> {
     let mut stream = stream;
-    let hello = Frame::Hello {
-        min_version: MIN_PROTOCOL_VERSION,
-        max_version: PROTOCOL_VERSION,
-        api_key,
-    };
-    let sent = write_frame(&mut stream, &hello)
+    write_frame(&mut stream, &hello(api_key))
         .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
-    let (frame, received) =
-        read_frame_blocking(&mut stream, max_frame_len, FrameOrigin::Server)?
-            .ok_or_else(|| CloudError::Handshake("server closed during handshake".into()))?;
-    match frame {
-        Frame::Welcome {
-            version,
-            max_in_flight,
-            max_frame_len,
-        } => Ok(Welcome {
-            version,
-            max_in_flight,
-            max_frame_len,
-            wire: (sent, received),
-        }),
-        Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
-        other => Err(CloudError::Handshake(format!(
-            "expected Welcome, got {other:?}"
-        ))),
-    }
+    let (frame, _) = read_frame_blocking(&mut stream, max_frame_len, FrameOrigin::Server)?
+        .ok_or_else(|| CloudError::Handshake("server closed during handshake".into()))?;
+    Welcome::from_answer(frame)
 }
 
 impl RemoteCloudClient {

@@ -5,7 +5,8 @@
 //! The engine owns everything mechanical about a connection: poller
 //! registration and interest, incremental [`FrameDecoder`] reads, the
 //! [`WriteQueue`] and its write-stall timer, the handshake and idle
-//! timers, `Hello` → `Welcome`/`Reject` version negotiation, keep-alive
+//! timers, `Hello` → `Welcome`/`Reject` version negotiation (as server on
+//! accepted connections, as client on dialed ones), keep-alive
 //! `Ping`/`Pong`, and Draining → Closed teardown. A handler owns what a
 //! connection *means*: [`crate::CloudServer`]'s handler turns frames into
 //! service jobs, and the routing tier's handler relays them to a backend
@@ -15,27 +16,28 @@
 //! # Connection state machine
 //!
 //! ```text
-//!   accepted (round-robin to a reactor)          dialed (Io::connect,
-//!                      │                          already handshaken)
-//!                      ▼                                   │
-//!               ┌─────────────┐   bad opener / version /   │
-//!               │ Handshaking │   timeout / Io::reject ──┐ │
-//!               └──────┬──────┘                          │ │
-//!      Hello ok, then  │ Io::welcome (now or later)      │ │
-//!                      ▼                                 │ │
-//!               ┌─────────────┐  Goodbye / EOF / idle /  │ │
-//!               │ Established │◄─────────────────────────┼─┘
-//!               └──────┬──────┘  violation / stop        │
-//!                      │  Io::drain                      │
-//!                      ▼                                 │
-//!               ┌─────────────┐                          │
-//!               │  Draining   │ (Reject flushed first    │
-//!               └──────┬──────┘  where one is owed)      │
-//!       owed = 0 and   │ queue flushed (or sink broken)  │
-//!                      ▼                                 ▼
-//!                  ┌──────────────────────────────────────────┐
-//!                  │                 Closed                   │
-//!                  └──────────────────────────────────────────┘
+//!  accepted (round-robin to a reactor)   dialed (Io::connect sends Hello)
+//!                     │                              │
+//!                     ▼                              │
+//!              ┌─────────────┐◄──────────────────────┘
+//!              │ Handshaking │  bad opener / version / timeout /
+//!              └──────┬──────┘  Io::reject / the server's Reject ────┐
+//!                     │ accepted: Hello ok, then Io::welcome (now or │
+//!                     │ later); dialed: the server's Welcome         │
+//!                     ▼                                              │
+//!              ┌─────────────┐                                       │
+//!              │ Established │                                       │
+//!              └──────┬──────┘                                       │
+//!                     │ Io::drain, Goodbye, EOF, idle,               │
+//!                     ▼ violation, stop                              │
+//!              ┌─────────────┐                                       │
+//!              │  Draining   │ (Reject flushed first where one       │
+//!              └──────┬──────┘  is owed)                             │
+//!      owed = 0 and   │ queue flushed (or sink broken)               │
+//!                     ▼                                              ▼
+//!                 ┌──────────────────────────────────────────────────┐
+//!                 │                      Closed                      │
+//!                 └──────────────────────────────────────────────────┘
 //! ```
 //!
 //! A connection is owned by exactly one reactor thread, so its state needs
@@ -56,6 +58,7 @@
 //! torn down and remaining replies are drained without writing, so owed
 //! accounting still reaches zero and drain completes.
 
+use super::client::{hello, Welcome};
 use super::frame::{self, Frame, FrameDecoder, FrameOrigin};
 use super::timer::{Fired, TimerKind, TimerWheel};
 use super::{TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
@@ -106,8 +109,13 @@ pub trait Handler: Send + 'static {
 
     /// A client's `Hello` passed version negotiation at `version`. The
     /// handler answers with [`Io::welcome`] or [`Io::reject`], now or from
-    /// a later callback; the handshake deadline keeps running meanwhile.
+    /// a later callback. The handshake deadline only covers the wait for
+    /// the `Hello`: from here on the answer is the handler's to give.
     fn on_hello(&mut self, io: &mut Io, conn: u64, version: u32, api_key: Option<String>);
+
+    /// A link dialed with [`Io::connect`] got its server's `Welcome` and is
+    /// established. (A link whose handshake fails just closes.)
+    fn on_welcome(&mut self, _io: &mut Io, _conn: u64, _welcome: Welcome) {}
 
     /// One frame on an established (or draining-but-owed) connection. The
     /// engine itself answers `Ping` on accepted connections and absorbs
@@ -133,7 +141,8 @@ pub trait Handler: Send + 'static {
 /// Lifecycle of one connection; see the module diagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
-    /// Accepted; waiting for the client's `Hello` or the handler's answer.
+    /// Accepted: waiting for the client's `Hello` or the handler's answer.
+    /// Dialed: waiting for the server's answer to our `Hello`.
     Handshaking,
     /// Frames flow both ways.
     Established,
@@ -807,15 +816,18 @@ impl Io {
         }
     }
 
-    /// Adopts a dialed connection whose handshake already succeeded at
-    /// `version`. It starts Established, decodes server-side frames, counts
-    /// its traffic as relayed, and is kept alive with `Ping`s whenever
+    /// Adopts a socket connected to a server and sends a `Hello` offering
+    /// `api_key`; the server's `Welcome` establishes the link
+    /// ([`Handler::on_welcome`]), anything else or the handshake deadline
+    /// closes it. A link counts its traffic as relayed and is pinged when
     /// nothing was written to it for [`TransportConfig::keepalive_interval`].
     /// Returns its token, or `None` if it could not be registered.
-    pub fn connect(&mut self, stream: TcpStream, version: u32) -> Option<u64> {
+    pub fn connect(&mut self, stream: TcpStream, api_key: Option<String>) -> Option<u64> {
         let mut c = open(&mut self.cx, stream, true)?;
-        c.version = version;
         let token = c.token;
+        c.writes
+            .push_frame(&hello(api_key), Kind::Relay, &self.cx.core.metrics);
+        touch(&mut c, &mut self.cx);
         self.conns.insert(token, c);
         Some(token)
     }
@@ -833,9 +845,8 @@ fn writable(conns: &mut HashMap<u64, Conn>, conn: u64) -> Option<&mut Conn> {
         .filter(|c| c.state != ConnState::Closed && !c.sink_broken)
 }
 
-/// Registers a fresh socket and builds its connection: accepted ones start
-/// Handshaking under the handshake deadline, dialed ones Established under
-/// the keep-alive timer.
+/// Registers a fresh socket and builds its connection, Handshaking under
+/// the handshake deadline.
 fn open(cx: &mut Cx, stream: TcpStream, outbound: bool) -> Option<Conn> {
     let _ = stream.set_nodelay(true);
     stream.set_nonblocking(true).ok()?;
@@ -849,11 +860,7 @@ fn open(cx: &mut Cx, stream: TcpStream, outbound: bool) -> Option<Conn> {
     let mut c = Conn {
         stream,
         token,
-        state: if outbound {
-            ConnState::Established
-        } else {
-            ConnState::Handshaking
-        },
+        state: ConnState::Handshaking,
         outbound,
         decoder: FrameDecoder::for_peer(if outbound {
             FrameOrigin::Server
@@ -873,13 +880,8 @@ fn open(cx: &mut Cx, stream: TcpStream, outbound: bool) -> Option<Conn> {
         write_gen: 0,
         write_timer_armed: false,
     };
-    let config = &cx.core.config;
-    let budget = if outbound {
-        config.keepalive_interval
-    } else {
-        config.handshake_timeout
-    };
-    arm_idle(&mut c, cx, now + budget);
+    let at = now + cx.core.config.handshake_timeout;
+    arm_idle(&mut c, cx, at);
     Some(c)
 }
 
@@ -1228,6 +1230,18 @@ impl<H: Handler> Reactor<H> {
             .get_mut(&token)
             .expect("dispatching a live conn");
         match (c.state, frame) {
+            // A dialed link's handshake answer. A refusal (or anything but
+            // a Welcome) closes the link, which tells the handler.
+            (ConnState::Handshaking, frame) if c.outbound => match Welcome::from_answer(frame) {
+                Ok(welcome) => {
+                    c.version = welcome.version;
+                    c.state = ConnState::Established;
+                    let at = Instant::now() + self.io.cx.core.config.keepalive_interval;
+                    arm_idle(c, &mut self.io.cx, at);
+                    self.handler.on_welcome(&mut self.io, token, welcome);
+                }
+                Err(_) => self.io.close(token),
+            },
             (
                 ConnState::Handshaking,
                 Frame::Hello {
@@ -1316,12 +1330,9 @@ impl<H: Handler> Reactor<H> {
         match f.kind {
             TimerKind::Handler => {}
             TimerKind::Idle if f.generation != c.idle_gen => {}
-            // On a dialed link the Idle timer is the keep-alive: ping when
-            // nothing was written for a whole interval.
-            TimerKind::Idle if c.outbound => {
-                if c.state != ConnState::Established {
-                    return;
-                }
+            // On an established dialed link the Idle timer is the
+            // keep-alive: ping when nothing was written for a whole interval.
+            TimerKind::Idle if c.outbound && c.state == ConnState::Established => {
                 let due = c.last_write_progress + config.keepalive_interval;
                 if Instant::now() >= due {
                     let ping = Frame::Ping { nonce: c.idle_gen };
@@ -1334,6 +1345,9 @@ impl<H: Handler> Reactor<H> {
             }
             TimerKind::Idle => {
                 let budget = match c.state {
+                    // The client's Hello passed: the handler holds the
+                    // answer (it may be dialing for it), so no deadline.
+                    ConnState::Handshaking if c.version != 0 => return,
                     ConnState::Handshaking => config.handshake_timeout,
                     ConnState::Established => config.idle_timeout,
                     // Draining ignores idleness: it lives until its replies
@@ -1344,7 +1358,8 @@ impl<H: Handler> Reactor<H> {
                     // Activity moved the deadline; re-arm lazily.
                     arm_idle(c, cx, c.last_activity + budget);
                 } else if c.state == ConnState::Handshaking {
-                    // A silent opener is not a protocol offense — just close.
+                    // A silent opener (or, on a dialed link, a silent
+                    // server) is not a protocol offense — just close.
                     close_conn(c, cx);
                 } else {
                     enter_draining(c, cx);
@@ -1500,12 +1515,12 @@ impl<H: Handler> Reactor<H> {
 }
 
 /// The peer vanished (EOF or read error) or broke the framing (`offense`).
-/// Before the handshake completes that just closes — counted as rejected
-/// when there was an offense; afterwards the peer is lost and the
-/// connection drains what it owes.
+/// Before the handshake completes that just closes — an accepted one
+/// counted as rejected when there was an offense; afterwards the peer is
+/// lost and the connection drains what it owes.
 fn peer_gone(c: &mut Conn, cx: &mut Cx, offense: bool) {
     if c.state == ConnState::Handshaking {
-        if offense {
+        if offense && !c.outbound {
             cx.core.metrics.add(Counter::ConnectionsRejected, 1);
         }
         close_conn(c, cx);

@@ -33,8 +33,10 @@
 //!   content-addressed, so replays dedup server-side and results stay
 //!   bitwise identical. It is a handler on the same connection engine as
 //!   `CloudServer`: each session — client connection plus backend link —
-//!   is owned by one reactor thread, and the proxy runs acceptor + prober
-//!   + dialer + `io_threads` threads however many sessions it carries.
+//!   is owned by one reactor thread, which also runs the link's handshake;
+//!   only the TCP connect runs on the dialer thread. The proxy runs
+//!   acceptor + prober + dialer + `io_threads` threads however many
+//!   sessions it carries.
 //!
 //! The [`FaultInjector`] is the proof harness: a dependency-free TCP
 //! man-in-the-middle that can kill, hang, delay, black-hole or

@@ -14,10 +14,16 @@
 //! same reactor thread, which owns the whole session: relaying is a push
 //! onto the other connection's write queue, and the retained in-flight
 //! jobs, their link stamps and the link itself are plain fields of that
-//! thread. The only blocking work — dialing a backend and waiting for its
-//! `Welcome` — runs on one dialer thread, which hands the ready link back
-//! through the reactor's mailbox. The proxy's thread count is acceptor +
-//! prober + dialer + `io_threads`, whatever the number of sessions.
+//! thread. The only blocking call — the TCP connect to a backend — runs on
+//! one dialer thread, which hands the connected socket back through the
+//! reactor's mailbox; the link's `Hello`/`Welcome` exchange then runs on
+//! the reactor like any other I/O, so no session's handshake waits on
+//! another's. The proxy's thread count is acceptor + prober + dialer +
+//! `io_threads`, whatever the number of sessions.
+//! Every retained job owes its client a reply, so a drained client
+//! connection (idle timeout, violation, `Goodbye`) stays until its relayed
+//! replies are flushed, as on a `CloudServer`; a client gone for good
+//! (EOF, broken sink) takes its backend link down at once.
 //!
 //! The proxy retains every in-flight `Submit` payload ([`bytes::Bytes`]
 //! refcount clones, not copies) keyed by request id. When a backend link
@@ -45,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::transport::{
-    handshake, ConnState, Engine, Frame, Handler, Io, Mailbox, TransportConfig, Welcome,
+    ConnState, Engine, Frame, Handler, Io, Mailbox, TransportConfig, Welcome,
 };
 use amalgam_cloud::{
     CloudError, Counter, JobTrace, ServiceMetrics, ServiceStats, SpanRecord, Stage, TraceId,
@@ -291,85 +297,53 @@ impl Drop for AmalgamProxy {
 struct DialRequest {
     /// The reactor that owns the session, and the session's client token.
     reactor: usize,
-    session: u64,
+    client: u64,
     route_key: String,
-    api_key: Option<String>,
-    /// The backend whose link just died, skipped on the ring walk.
-    exclude: Option<String>,
+    /// Backends that already failed this session, skipped on the ring walk.
+    skip: Vec<String>,
 }
 
 /// A dial's outcome, posted back to the session's reactor: the backend's
-/// address, the handshaken stream and its `Welcome` — or `None` when no
-/// admissible backend took the session.
+/// address and the connected stream — or `None` when no admissible backend
+/// took the connection.
 #[derive(Debug)]
 struct Dialed {
-    request: DialRequest,
-    link: Option<(String, TcpStream, Welcome)>,
+    client: u64,
+    link: Option<(String, TcpStream)>,
 }
 
 /// The dialer thread: walks each session's ring order for the first
-/// admissible backend that completes a handshake — the only blocking I/O
-/// the data path has, kept off the reactors. Every request queued by the
-/// time it looks dials together: each one's first TCP connect goes out
-/// before any handshake, so a burst of new sessions overlaps its backends'
-/// accept latency instead of queueing on it one session at a time.
+/// admissible backend that accepts a TCP connection — the only blocking
+/// call the data path has, kept off the reactors.
 fn dialer_loop(
     shared: &ProxyShared,
     requests: &Receiver<DialRequest>,
     mailboxes: &[Mailbox<Dialed>],
 ) {
-    while let Ok(first) = requests.recv() {
-        let opened: Vec<_> = std::iter::once(first)
-            .chain(requests.try_iter())
-            .map(|request| {
-                let exclude = request.exclude.clone();
-                let mut walk = shared
-                    .ring
-                    .ordered(&request.route_key)
-                    .into_iter()
-                    .filter(move |addr| {
-                        Some(*addr) != exclude.as_deref()
-                            && !shared.stop.load(Ordering::SeqCst)
-                            && shared.breakers.admits_traffic(addr)
-                    })
-                    .map(|addr| (addr, connect(shared, addr)));
-                (request, walk.next(), walk)
+    for request in requests {
+        let link = shared
+            .ring
+            .ordered(&request.route_key)
+            .into_iter()
+            .filter(|addr| {
+                !request.skip.iter().any(|s| s == addr)
+                    && !shared.stop.load(Ordering::SeqCst)
+                    && shared.breakers.admits_traffic(addr)
             })
-            .collect();
-        for (request, head, walk) in opened {
-            let link = head.into_iter().chain(walk).find_map(|(addr, stream)| {
-                let t = &shared.config.transport;
-                let greeted = stream.and_then(|stream| {
-                    let welcome = handshake(&stream, request.api_key.clone(), t.max_frame_len);
-                    Some((stream, welcome.ok()?))
-                });
-                match greeted {
-                    Some((stream, welcome)) => {
-                        // Both handshake frames are relayed backend-face
-                        // traffic.
-                        shared.metrics.relay_frame_sent(welcome.wire.0);
-                        shared.metrics.relay_frame_received(welcome.wire.1);
-                        Some((addr.to_string(), stream, welcome))
-                    }
+            .find_map(|addr| {
+                let sock_addr = addr.to_socket_addrs().ok().and_then(|mut a| a.next());
+                let timeout = shared.config.transport.connect_timeout;
+                match sock_addr.and_then(|a| TcpStream::connect_timeout(&a, timeout).ok()) {
+                    Some(stream) => Some((addr.to_string(), stream)),
                     None => {
                         shared.record_backend_failure(addr);
                         None
                     }
                 }
             });
-            mailboxes[request.reactor].post(Dialed { request, link });
-        }
+        let client = request.client;
+        mailboxes[request.reactor].post(Dialed { client, link });
     }
-}
-
-/// Opens a TCP connection to `addr`, with the handshake's I/O deadlines set.
-fn connect(shared: &ProxyShared, addr: &str) -> Option<TcpStream> {
-    let t = &shared.config.transport;
-    let sock_addr = addr.to_socket_addrs().ok()?.next()?;
-    let stream = TcpStream::connect_timeout(&sock_addr, t.connect_timeout).ok()?;
-    let _ = stream.set_write_timeout(Some(t.write_timeout));
-    let _ = stream.set_read_timeout(Some(t.handshake_timeout));
-    Some(stream)
 }
 
 /// One retained in-flight job.
@@ -391,19 +365,20 @@ struct InFlightJob {
     sent_at: Instant,
 }
 
-/// A session's live connection to its backend.
+/// A session's connection to its backend.
 #[derive(Debug)]
 struct Link {
     /// The link's connection token, which doubles as its generation.
     token: u64,
     addr: String,
-    /// The protocol version the backend negotiated; `Cancel` only goes to
-    /// v2 backends (the engine strips trace extensions toward v1 itself).
+    /// The protocol version the backend negotiated, 0 while the handshake
+    /// runs; `Cancel` only goes to v2 backends (the engine strips trace
+    /// extensions toward v1 itself).
     version: u32,
 }
 
 /// One client session, keyed by its client connection's token.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Session {
     /// The routing key: the session's API key, or a unique anonymous tag.
     route_key: String,
@@ -412,6 +387,21 @@ struct Session {
     link: Option<Link>,
     /// A dial for this session is queued or running.
     dialing: bool,
+    /// Backends that failed this session since its last link came up.
+    failed: Vec<String>,
+    /// The client said `Goodbye`: the link only carries the owed replies,
+    /// and its close ends the session instead of failing it over.
+    leaving: bool,
+}
+
+impl Session {
+    /// Answers every retained job with `ServiceUnavailable`, which a
+    /// reconnecting client treats as retry-with-backoff.
+    fn answer_unavailable(&mut self, io: &mut Io, client: u64) {
+        for (id, job) in self.jobs.drain() {
+            io.reply(client, id, Err(CloudError::ServiceUnavailable), job.trace);
+        }
+    }
 }
 
 /// The proxy's [`Handler`]: every client connection is a [`Session`] whose
@@ -426,19 +416,19 @@ struct Relay {
 }
 
 impl Relay {
-    /// Queues a dial for `client`'s session unless one is already running.
-    fn dial(&mut self, client: u64, exclude: Option<String>) {
+    /// Queues a dial for `client`'s session unless it has a link or a dial
+    /// is already running.
+    fn dial(&mut self, client: u64) {
         let Some(session) = self.sessions.get_mut(&client) else {
             return;
         };
-        if !session.dialing {
+        if !session.dialing && session.link.is_none() {
             session.dialing = true;
             let _ = self.dialer.send(DialRequest {
                 reactor: self.reactor,
-                session: client,
+                client,
                 route_key: session.route_key.clone(),
-                api_key: session.api_key.clone(),
-                exclude,
+                skip: session.failed.clone(),
             });
         }
     }
@@ -540,12 +530,10 @@ impl Handler for Relay {
         let session = Session {
             route_key,
             api_key,
-            jobs: HashMap::new(),
-            link: None,
-            dialing: false,
+            ..Session::default()
         };
         self.sessions.insert(client, session);
-        self.dial(client, None);
+        self.dial(client);
     }
 
     fn on_frame(&mut self, io: &mut Io, conn: u64, frame: Frame) {
@@ -567,15 +555,16 @@ impl Handler for Relay {
                     sent_gen: 0,
                     sent_at: Instant::now(),
                 };
-                if let Some(link) = &session.link {
+                if let Some(link) = session.link.as_ref().filter(|l| l.version > 0) {
                     job.sent_gen = link.token;
                     io.submit(link.token, request_id, job.payload.clone(), job.trace);
                 }
-                let routed = session.link.is_some();
-                session.jobs.insert(request_id, job);
-                if !routed {
-                    self.dial(conn, None);
+                // The client is owed this job's reply: a draining client
+                // connection waits for it to be flushed.
+                if session.jobs.insert(request_id, job).is_none() {
+                    io.owe(conn);
                 }
+                self.dial(conn);
             }
             // Best effort, like everywhere else in the cancel path: the
             // request reaches the backend only while a v2 link is up. The
@@ -594,14 +583,22 @@ impl Handler for Relay {
                 let body = Ok(self.shared.metrics.snapshot().to_bytes());
                 io.send(conn, &Frame::Stats { request_id, body });
             }
-            // A polite leave is passed on, so the backend lets the session's
-            // work finish; the link is detached first, so its close reads as
-            // the session ending rather than a backend failure.
+            // A polite leave is passed on, so the backend finishes the
+            // session's work, flushes its replies (relayed to the draining
+            // client) and hangs up. Without a live link there is nobody to
+            // finish the work: the retained jobs are answered now.
             Frame::Goodbye => {
-                if let Some(link) = session.link.take() {
-                    self.links.remove(&link.token);
-                    io.send(link.token, &Frame::Goodbye);
-                    io.drain(link.token);
+                session.leaving = true;
+                match &session.link {
+                    Some(link) if link.version > 0 => {
+                        io.send(link.token, &Frame::Goodbye);
+                    }
+                    pending => {
+                        if let Some(link) = pending {
+                            io.close(link.token);
+                        }
+                        session.answer_unavailable(io, conn);
+                    }
                 }
                 io.drain(conn);
             }
@@ -610,41 +607,62 @@ impl Handler for Relay {
         }
     }
 
-    fn on_message(&mut self, io: &mut Io, Dialed { request, link }: Dialed) {
-        let client = request.session;
+    fn on_message(&mut self, io: &mut Io, Dialed { client, link }: Dialed) {
         let Some(session) = self.sessions.get_mut(&client) else {
             return; // the session ended meanwhile; the stream closes on drop
         };
         session.dialing = false;
-        let first = io.state(client) == Some(ConnState::Handshaking);
-        if io.stopping() || !(first || io.state(client) == Some(ConnState::Established)) {
+        if io.stopping() {
+            io.close(client);
             return;
         }
-        let link =
-            link.and_then(|(addr, stream, w)| Some((addr, io.connect(stream, w.version)?, w)));
-        let Some((addr, token, welcome)) = link else {
-            if first {
+        if session.leaving {
+            return;
+        }
+        let Some((addr, stream)) = link else {
+            if io.state(client) == Some(ConnState::Handshaking) {
                 io.reject(client, "no healthy backend".into());
             } else {
-                // Fleet exhausted: answer every retained job with
-                // ServiceUnavailable so a reconnecting client can back off
-                // and resubmit rather than hang.
-                for (id, job) in session.jobs.drain() {
-                    io.reply(client, id, Err(CloudError::ServiceUnavailable), job.trace);
-                }
+                // Fleet exhausted: answer every retained job so a
+                // reconnecting client can back off and resubmit rather
+                // than hang. The next submit dials afresh.
+                session.failed.clear();
+                session.answer_unavailable(io, client);
             }
             return;
         };
+        match io.connect(stream, session.api_key.clone()) {
+            Some(token) => {
+                session.link = Some(Link {
+                    token,
+                    addr,
+                    version: 0,
+                });
+                self.links.insert(token, client);
+            }
+            None => {
+                session.failed.push(addr);
+                self.dial(client);
+            }
+        }
+    }
+
+    fn on_welcome(&mut self, io: &mut Io, link: u64, welcome: Welcome) {
+        let Some(&client) = self.links.get(&link) else {
+            return;
+        };
+        let Some(session) = self.sessions.get_mut(&client) else {
+            return;
+        };
+        let Some(l) = session.link.as_mut() else {
+            return;
+        };
+        l.version = welcome.version;
+        session.failed.clear();
         let metrics = &self.shared.metrics;
-        metrics.backend_session_routed(&addr);
-        session.link = Some(Link {
-            token,
-            addr,
-            version: welcome.version,
-        });
-        self.links.insert(token, client);
-        io.arm(token, Instant::now() + self.shared.config.reply_timeout);
-        if first {
+        metrics.backend_session_routed(&l.addr);
+        io.arm(link, Instant::now() + self.shared.config.reply_timeout);
+        if io.state(client) == Some(ConnState::Handshaking) {
             // Advertise the *tighter* of our limits and the home backend's,
             // so a client honoring the Welcome can never trip either hop's
             // caps.
@@ -652,7 +670,7 @@ impl Handler for Relay {
             let max_in_flight = welcome.max_in_flight.min(t.max_in_flight as u32);
             let max_frame_len = welcome.max_frame_len.min(t.max_frame_len as u64);
             io.welcome(client, max_in_flight, max_frame_len);
-        } else if request.exclude.is_some() {
+        } else {
             metrics.add(Counter::Reconnects, 1);
         }
         resubmit_unsent(session, io, metrics);
@@ -678,11 +696,16 @@ impl Handler for Relay {
         }
     }
 
+    /// A client that can never receive another frame is not waited on:
+    /// closing it takes its backend link down too.
+    fn on_peer_lost(&mut self, io: &mut Io, conn: u64) {
+        if self.sessions.contains_key(&conn) {
+            io.close(conn);
+        }
+    }
+
     fn on_close(&mut self, io: &mut Io, conn: u64) {
         if let Some(client) = self.links.remove(&conn) {
-            // The session's link died: fail over, unless the proxy itself is
-            // shutting down (an expected teardown must not poison the
-            // breaker).
             let Some(session) = self.sessions.get_mut(&client) else {
                 return;
             };
@@ -690,11 +713,23 @@ impl Handler for Relay {
                 return;
             };
             if io.stopping() {
-                return;
+                // The proxy is shutting down: the session is severed, and
+                // an expected teardown must not poison the breaker.
+                io.close(client);
+            } else if session.leaving {
+                // The backend finished the departed session's work and
+                // hung up (or died first): nothing left to fail over.
+                session.answer_unavailable(io, client);
+            } else {
+                // The link died, or its handshake failed: try the ring's
+                // next admissible backend.
+                self.shared.record_backend_failure(&link.addr);
+                if link.version > 0 {
+                    self.shared.metrics.backend_failover(&link.addr);
+                }
+                session.failed.push(link.addr);
+                self.dial(client);
             }
-            self.shared.record_backend_failure(&link.addr);
-            self.shared.metrics.backend_failover(&link.addr);
-            self.dial(client, Some(link.addr));
         } else if let Some(session) = self.sessions.remove(&conn) {
             // The client is gone: its backend session goes with it.
             if let Some(link) = session.link {

@@ -1,19 +1,22 @@
 //! Session lifetime through the front door: the proxy enforces the same
-//! idle timeout a `CloudServer` does, and a session's backend link lives
-//! and dies with its client connection.
+//! idle timeout a `CloudServer` does, a session's backend link lives and
+//! dies with its client connection, and one backend's handshake never
+//! holds up another's.
 
 use std::io::Read;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::transport::{
     read_frame_blocking, write_frame, Frame, FrameOrigin, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use amalgam_cloud::{
-    CloudJob, CloudServer, CloudService, RemoteCloudClient, TaskPayload, TransportConfig,
+    BackendHealth, CloudJob, CloudServer, CloudService, RemoteCloudClient, TaskPayload,
+    TransportConfig,
 };
 use amalgam_core::TrainConfig;
-use amalgam_proxy::{AmalgamProxy, ProxyConfig};
+use amalgam_proxy::{AmalgamProxy, Fault, FaultInjector, HashRing, ProxyConfig};
 use amalgam_tensor::{Rng, Tensor};
 
 fn tiny_job(seed: u64) -> CloudJob {
@@ -115,4 +118,154 @@ fn a_pinging_client_keeps_its_session_and_its_backend_link() {
     client.close();
     proxy.shutdown();
     backend.shutdown();
+}
+
+/// Pins each training batch to a fixed floor, so a job outlasts the idle
+/// timeout under test.
+struct SlowBatches(Duration);
+
+impl amalgam_cloud::CloudObserver for SlowBatches {
+    fn on_model(&mut self, _model: &amalgam_nn::graph::GraphModel) {}
+
+    fn on_batch(&mut self, _inputs: &Tensor, _labels: &[usize]) {
+        std::thread::sleep(self.0);
+    }
+}
+
+/// A client that submits a job and then stays silent past the idle timeout
+/// still gets its reply, as it would talking to the backend directly: the
+/// idle timeout drains the client connection, and draining waits for the
+/// replies the session owes.
+#[test]
+fn a_silent_client_waiting_on_a_job_still_gets_its_reply() {
+    let service = CloudService::builder()
+        .workers(1)
+        .observer(Arc::new(parking_lot::Mutex::new(SlowBatches(
+            Duration::from_millis(400),
+        ))))
+        .build();
+    let backend = CloudServer::bind(service, "127.0.0.1:0").expect("bind backend");
+    let expected = backend
+        .local_client()
+        .train(&tiny_job(3))
+        .expect("local train")
+        .trained_model;
+    let idle = TransportConfig::default().idle_timeout(Duration::from_millis(300));
+    let proxy = AmalgamProxy::bind(
+        "127.0.0.1:0",
+        &[backend.local_addr().to_string()],
+        ProxyConfig::default().transport(idle),
+    )
+    .expect("bind proxy");
+
+    // The client's own keep-alive (10 s by default) stays quiet throughout.
+    let client = RemoteCloudClient::connect(proxy.addr()).expect("connect via proxy");
+    let result = client
+        .submit(&tiny_job(3))
+        .expect("submit")
+        .wait_timeout(Duration::from_secs(30))
+        .expect("no reply within 30 s")
+        .expect("the reply survived the idle timeout");
+    assert_eq!(result.trained_model, expected);
+
+    // Then the drained session closes, and its backend link with it.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while proxy.stats().connections_active > 0 || backend.session_count() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the drained session never closed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    client.close();
+    proxy.shutdown();
+    backend.shutdown();
+}
+
+/// A backend that accepts TCP but never answers the `Hello` (a black hole)
+/// costs only the sessions homed on it a handshake timeout, after which
+/// they fail over. Dialed handshakes run side by side, so links to a
+/// healthy backend never sit unanswered behind the black hole's until that
+/// backend's own handshake deadline closes them — it is never ejected, and
+/// every session trains.
+#[test]
+fn a_black_holed_backend_never_gets_a_healthy_one_ejected() {
+    const PER_BACKEND: usize = 6;
+    // Backends drop a silent opener after 200 ms; the proxy waits 1 s for a
+    // backend's Welcome.
+    let quick = TransportConfig::default().handshake_timeout(Duration::from_millis(200));
+    let mut servers = Vec::new();
+    let mut injectors = Vec::new();
+    for _ in 0..2 {
+        let service = CloudService::builder().workers(1).build();
+        let server =
+            CloudServer::bind_with(service, "127.0.0.1:0", quick.clone()).expect("bind backend");
+        injectors.push(FaultInjector::spawn(server.local_addr()).expect("spawn injector"));
+        servers.push(server);
+    }
+    let addrs: Vec<String> = injectors.iter().map(|i| i.addr().to_string()).collect();
+    let config = ProxyConfig::default()
+        .transport(TransportConfig::default().handshake_timeout(Duration::from_secs(1)))
+        // Probe successes would reset the healthy backend's failure count;
+        // keep the prober out of the way so only the data path judges.
+        .probe_interval(Duration::from_secs(60));
+    let vnodes = config.vnodes;
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &addrs, config).expect("bind proxy");
+    let (dark, lit) = (0, 1);
+    injectors[dark].set_fault(Fault::BlackHole);
+
+    let ring = HashRing::new(&addrs, vnodes);
+    let tenants = |home: usize| -> Vec<String> {
+        (0..)
+            .map(|i| format!("tenant-{i}"))
+            .filter(|key| ring.route(key) == addrs[home])
+            .take(PER_BACKEND)
+            .collect()
+    };
+    // Sessions for both backends arrive interleaved, 20 ms apart.
+    let proxy_addr = proxy.addr();
+    let mut sessions = Vec::new();
+    for (dark_key, lit_key) in tenants(dark).into_iter().zip(tenants(lit)) {
+        for key in [dark_key, lit_key] {
+            sessions.push(std::thread::spawn(move || {
+                let config = TransportConfig::default().api_key(key.clone());
+                let client = RemoteCloudClient::connect_with(proxy_addr, config)
+                    .unwrap_or_else(|e| panic!("{key} could not connect: {e}"));
+                let result = client
+                    .train(&tiny_job(1))
+                    .unwrap_or_else(|e| panic!("{key} could not train: {e}"));
+                client.close();
+                result.trained_model
+            }));
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    for session in sessions {
+        assert!(!session.join().expect("session thread").is_empty());
+    }
+
+    let stats = proxy.stats();
+    let row = |i: usize| {
+        stats
+            .backends
+            .iter()
+            .find(|b| b.addr == addrs[i])
+            .expect("backend row present")
+    };
+    assert_eq!(
+        (row(lit).ejections, row(lit).health),
+        (0, BackendHealth::Closed),
+        "the healthy backend was ejected: {stats:?}"
+    );
+    assert!(
+        row(dark).ejections >= 1,
+        "timed-out handshakes must eject the black hole: {stats:?}"
+    );
+
+    proxy.shutdown();
+    for (injector, server) in injectors.into_iter().zip(servers) {
+        injector.shutdown();
+        server.shutdown();
+    }
 }
